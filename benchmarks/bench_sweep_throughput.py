@@ -38,6 +38,8 @@ import numpy as np
 from repro.config import NumericsOptions, ReproConfig
 from repro.physics.terms import Bending, Tension
 from repro.runtime import warm_caches
+from repro.runtime.blas import thread_counts
+from repro.runtime.executor import ProcessPoolExecutor, ProcessTask
 from repro.surfaces import biconcave_rbc
 from repro.sweep import SceneJob, SweepRunner, run_scene
 
@@ -54,6 +56,20 @@ def sweep_jobs(n: int, order: int, steps: int) -> list:
             f"job{i}", cfg, [biconcave_rbc(1.0, order=order)],
             n_steps=steps))
     return jobs
+
+
+class _WorkerBlasThreads(ProcessTask):
+    def __call__(self, item):
+        return thread_counts()
+
+
+def worker_blas_threads(workers: int) -> list:
+    """BLAS thread counts a process-pool worker runs at."""
+    pool = ProcessPoolExecutor(workers=workers)
+    try:
+        return pool.map(_WorkerBlasThreads(), range(workers))[0]
+    finally:
+        pool.close()
 
 
 def max_deviation(ref_results, sweep_results) -> float:
@@ -109,7 +125,9 @@ def measure(args) -> dict:
     ncpu = os.cpu_count() or 1
     return {
         "host": {
-            "cpu_count": ncpu,
+            "nproc": ncpu,
+            "blas_threads_parent": thread_counts(),
+            "blas_threads_worker": worker_blas_threads(args.workers),
             "note": ("single-core container: process/thread sweep rows "
                      "cannot beat the serial sweep (dispatch + pickle "
                      "overhead only); the bit-identity column is the "

@@ -125,12 +125,15 @@ class NumericsOptions:
     #: pool with the runtime determinism checks (frozen shared tables +
     #: sampled bit-identical task reruns). The per-cell tasks touch
     #: disjoint state and results are always gathered by cell index, so
-    #: every executor is bit-identical to serial.
+    #: every executor is bit-identical to serial at equal BLAS thread
+    #: counts. Process-pool workers always run one OpenBLAS thread
+    #: (:mod:`repro.runtime.blas`); the parent keeps the host's default.
     #:
     #: This knob parallelizes *within* one scene. For many independent
     #: scenes (parameter sweeps), parallelize *across* scenes instead —
     #: :class:`repro.sweep.SweepRunner` maps whole scene jobs over the
-    #: same registry, with each scene's own executor left ``"serial"``.
+    #: same registry, with each scene's own executor left ``"serial"``;
+    #: every sweep job runs at one BLAS thread whatever the executor.
     executor: str = "serial"
     #: Worker count of the ``"thread"``/``"process"`` executors (ignored
     #: by ``"serial"``). ``workers=1`` still runs tasks on a pool but
@@ -145,9 +148,9 @@ class NumericsOptions:
     #: are flat to slightly negative there for threads and pay pickling
     #: overhead for processes. On multi-core hosts prefer ``"auto"``
     #: with ``"process"`` for many-cell scenes (the per-source
-    #: interaction batches dominate and shard cleanly) and ``"thread"``
-    #: where BLAS-released-GIL overlap suffices; measure with the sweep
-    #: and pin the knee of the curve if you need an explicit count.
+    #: interaction batches dominate and shard cleanly, one BLAS thread
+    #: per worker); measure with the sweep and pin the knee of the
+    #: curve if you need an explicit count.
     workers: "int | str" = 1
     #: Precision of the *far-field* smooth quadrature: ``"float32"`` runs
     #: the far block of :func:`repro.kernels.stokes_slp_apply` and the

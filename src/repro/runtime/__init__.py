@@ -13,7 +13,8 @@ assembly) are real implementations operating on the virtual ranks.
 
 :mod:`repro.runtime.executor` is the *real* intra-process parallelism:
 pluggable executors (serial / worker-thread pool) that the time stepper
-maps its per-cell stage tasks over.
+maps its per-cell stage tasks over; :mod:`repro.runtime.blas` holds the
+BLAS thread policy of pool workers and sweep jobs.
 """
 from .caches import warm_caches
 from .communicator import VirtualComm, CommLedger

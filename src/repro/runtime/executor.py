@@ -58,6 +58,7 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Type, Typ
 import numpy as np
 
 from ..analysis.guard import DeterminismError, tables_frozen
+from .blas import pin_single_blas_thread
 from .communicator import CommLedger, _nbytes
 
 T = TypeVar("T")
@@ -315,6 +316,14 @@ class ProcessPoolExecutor(Executor):
     The pool is forked lazily on first dispatch (fork shares the
     parent's warm table caches copy-on-write where the platform allows
     it) and torn down on :meth:`close` or garbage collection.
+
+    BLAS policy: each worker runs OpenBLAS at one thread for its whole
+    life (:func:`repro.runtime.blas.pin_single_blas_thread` is the pool
+    initializer), so ``workers`` processes never oversubscribe the
+    cores with nested BLAS threads. OpenBLAS results can depend on its
+    thread count, so the bit-identity above holds at equal counts: the
+    sharded interaction sums stay below the sizes where the count
+    matters, and sweep jobs run at one thread on every executor.
     """
 
     name = "process"
@@ -345,7 +354,8 @@ class ProcessPoolExecutor(Executor):
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn")
-            pool = ctx.Pool(processes=self.workers)
+            pool = ctx.Pool(processes=self.workers,
+                            initializer=pin_single_blas_thread)
             self._pool = pool
             weakref.finalize(self, _terminate_pool, pool)
         return pool

@@ -9,6 +9,15 @@ per-job timeouts, process-wide warm table caches
 (:func:`repro.runtime.warm_caches`), and whole-sweep kill/resume on top
 of the bit-identical checkpoint layer.
 
+BLAS policy: every job runs at one OpenBLAS thread
+(:func:`repro.runtime.blas.single_blas_thread` scopes
+:func:`run_scene`, and process-pool workers are pinned for life), so N
+workers use N cores rather than N times the BLAS threads. OpenBLAS
+results depend on its thread count, and executors agree bit for bit
+only at equal counts; pinning every job to one thread is what makes a
+serial, thread and process sweep, and a solo :func:`run_scene`,
+bit-identical. A scene stepped outside a sweep keeps the host's default.
+
 Quick use::
 
     from repro import presets

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from ..config import ReproConfig
+from ..runtime.blas import single_blas_thread
 from ..runtime.caches import warm_caches
 from ..runtime.executor import ProcessTask
 
@@ -146,6 +147,7 @@ def _steps_completed(sim, config: ReproConfig) -> int:
     return int(round(sim.t / config.dt))
 
 
+@single_blas_thread()
 def run_scene(job: SceneJob) -> SceneResult:
     """Run one scene to completion; the pure function any executor maps.
 
@@ -158,7 +160,9 @@ def run_scene(job: SceneJob) -> SceneResult:
     frontier. A scene that cannot be checkpointed
     (``Simulation.checkpointable`` is False: vessel-bounded or recycling
     scenes) runs normally but is marked non-resumable; it never aborts
-    the batch.
+    the batch. The whole call runs at one BLAS thread
+    (:func:`repro.runtime.blas.single_blas_thread`), so a job computes
+    the same bits solo and on every sweep executor.
     """
     from ..resilience import load_checkpoint, save_checkpoint
 

@@ -12,7 +12,7 @@ Guarantees:
   :func:`~repro.sweep.job.run_scene` no matter the executor, so an
   N-job process sweep's per-job trajectories are bit-identical to
   running each job alone serially (gated in CI by the ``sweep-smoke``
-  lane).
+  lane); every job runs at one BLAS thread, see :mod:`repro.sweep`.
 - **Failure isolation.** One scene's :class:`repro.StepRejectedError`
   (or any crash) lands as a ``"failed"`` :class:`SceneResult`; the
   sweep completes every other job.
@@ -40,6 +40,7 @@ import os
 import tempfile
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..runtime.blas import single_blas_thread
 from ..runtime.caches import warm_caches
 from ..runtime.executor import Executor, make_executor
 from .job import (SceneJob, SceneResult, SceneTask, result_from_npz,
@@ -207,7 +208,8 @@ class SweepRunner:
             if orders:
                 # Parent-side warm-up *before* the process pool forks:
                 # workers inherit the built tables copy-on-write.
-                warm_caches(orders)
+                with single_blas_thread():
+                    warm_caches(orders)
 
         task = SceneTask()
         try:
