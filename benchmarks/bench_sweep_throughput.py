@@ -38,8 +38,7 @@ import numpy as np
 from repro.config import NumericsOptions, ReproConfig
 from repro.physics.terms import Bending, Tension
 from repro.runtime import warm_caches
-from repro.runtime.blas import thread_counts
-from repro.runtime.executor import ProcessPoolExecutor, ProcessTask
+from repro.runtime.blas import single_blas_thread, thread_counts
 from repro.surfaces import biconcave_rbc
 from repro.sweep import SceneJob, SweepRunner, run_scene
 
@@ -58,20 +57,6 @@ def sweep_jobs(n: int, order: int, steps: int) -> list:
     return jobs
 
 
-class _WorkerBlasThreads(ProcessTask):
-    def __call__(self, item):
-        return thread_counts()
-
-
-def worker_blas_threads(workers: int) -> list:
-    """BLAS thread counts a process-pool worker runs at."""
-    pool = ProcessPoolExecutor(workers=workers)
-    try:
-        return pool.map(_WorkerBlasThreads(), range(workers))[0]
-    finally:
-        pool.close()
-
-
 def max_deviation(ref_results, sweep_results) -> float:
     dev = 0.0
     for a, b in zip(ref_results, sweep_results):
@@ -82,13 +67,15 @@ def max_deviation(ref_results, sweep_results) -> float:
 
 def measure(args) -> dict:
     # Warm the shared per-order tables once, up front, and price both
-    # the cold build and the (cache-hit) revisit.
-    t0 = time.perf_counter()
-    warm_caches([args.order])
-    warm_build = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    warm_caches([args.order])
-    warm_revisit = time.perf_counter() - t0
+    # the cold build and the (cache-hit) revisit. One BLAS thread, as
+    # SweepRunner's own warm-up, so every row steps on the same tables.
+    with single_blas_thread():
+        t0 = time.perf_counter()
+        warm_caches([args.order])
+        warm_build = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        warm_caches([args.order])
+        warm_revisit = time.perf_counter() - t0
 
     jobs = sweep_jobs(args.jobs, args.order, args.steps)
 
@@ -123,11 +110,13 @@ def measure(args) -> dict:
         })
 
     ncpu = os.cpu_count() or 1
+    with single_blas_thread():  # the scope every sweep job runs in
+        job_threads = thread_counts()
     return {
         "host": {
             "nproc": ncpu,
             "blas_threads_parent": thread_counts(),
-            "blas_threads_worker": worker_blas_threads(args.workers),
+            "blas_threads_job": job_threads,
             "note": ("single-core container: process/thread sweep rows "
                      "cannot beat the serial sweep (dispatch + pickle "
                      "overhead only); the bit-identity column is the "

@@ -126,8 +126,9 @@ class NumericsOptions:
     #: sampled bit-identical task reruns). The per-cell tasks touch
     #: disjoint state and results are always gathered by cell index, so
     #: every executor is bit-identical to serial at equal BLAS thread
-    #: counts. Process-pool workers always run one OpenBLAS thread
-    #: (:mod:`repro.runtime.blas`); the parent keeps the host's default.
+    #: counts. A forked process-pool worker inherits the parent's
+    #: OpenBLAS thread count (the host's default unless changed; see
+    #: :mod:`repro.runtime.blas`).
     #:
     #: This knob parallelizes *within* one scene. For many independent
     #: scenes (parameter sweeps), parallelize *across* scenes instead —
@@ -148,9 +149,8 @@ class NumericsOptions:
     #: are flat to slightly negative there for threads and pay pickling
     #: overhead for processes. On multi-core hosts prefer ``"auto"``
     #: with ``"process"`` for many-cell scenes (the per-source
-    #: interaction batches dominate and shard cleanly, one BLAS thread
-    #: per worker); measure with the sweep and pin the knee of the
-    #: curve if you need an explicit count.
+    #: interaction batches dominate and shard cleanly); measure with the
+    #: sweep and pin the knee of the curve if you need an explicit count.
     workers: "int | str" = 1
     #: Precision of the *far-field* smooth quadrature: ``"float32"`` runs
     #: the far block of :func:`repro.kernels.stokes_slp_apply` and the

@@ -1,4 +1,4 @@
-"""BLAS thread policy: one OpenBLAS thread per sweep job and pool worker.
+"""BLAS thread policy: one OpenBLAS thread per sweep job.
 
 A process pool already gives each core one stream of work; an OpenBLAS
 that also threads every GEMM inside each worker oversubscribes the
@@ -9,8 +9,10 @@ point is a no-op.
 
 OpenBLAS results depend on its thread count, so bit-identity across
 executors holds only at equal counts: sweep jobs (:func:`run_scene`)
-and process-pool workers therefore always run at one thread, while a
-single scene stepped outside a sweep keeps the host's default.
+therefore always run at one thread, on whichever executor, while a
+single scene stepped outside a sweep keeps the host's default. The
+setting is process-wide and a forked pool worker inherits it, so
+within-scene shards run at the parent's count.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import functools
 import os
 import threading
 
-__all__ = ["single_blas_thread", "pin_single_blas_thread", "thread_counts"]
+__all__ = ["single_blas_thread", "thread_counts"]
 
 
 @functools.lru_cache(maxsize=1)
@@ -50,13 +52,6 @@ def _libraries() -> tuple:
 def thread_counts() -> list:
     """Current thread count of each loaded OpenBLAS (empty if none)."""
     return [int(get()) for get, _ in _libraries()]
-
-
-def pin_single_blas_thread() -> None:
-    """Set every loaded OpenBLAS to one thread for the process's life
-    (the process pool's worker initializer)."""
-    for _, put in _libraries():
-        put(1)
 
 
 _LOCK = threading.Lock()

@@ -58,7 +58,6 @@ from typing import Callable, ClassVar, Dict, Iterable, List, Optional, Type, Typ
 import numpy as np
 
 from ..analysis.guard import DeterminismError, tables_frozen
-from .blas import pin_single_blas_thread
 from .communicator import CommLedger, _nbytes
 
 T = TypeVar("T")
@@ -317,13 +316,13 @@ class ProcessPoolExecutor(Executor):
     parent's warm table caches copy-on-write where the platform allows
     it) and torn down on :meth:`close` or garbage collection.
 
-    BLAS policy: each worker runs OpenBLAS at one thread for its whole
-    life (:func:`repro.runtime.blas.pin_single_blas_thread` is the pool
-    initializer), so ``workers`` processes never oversubscribe the
-    cores with nested BLAS threads. OpenBLAS results can depend on its
-    thread count, so the bit-identity above holds at equal counts: the
-    sharded interaction sums stay below the sizes where the count
-    matters, and sweep jobs run at one thread on every executor.
+    BLAS policy: the pool sets no BLAS thread count of its own; a
+    forked worker runs OpenBLAS at the count the parent had when the
+    pool forked. OpenBLAS results can depend on its thread count, so the
+    bit-identity above holds at equal counts in parent and workers.
+    Sweep jobs run at one thread on every executor: each job scopes
+    itself (:class:`repro.sweep.job.SceneTask`,
+    :func:`repro.runtime.blas.single_blas_thread`), not the pool.
     """
 
     name = "process"
@@ -354,8 +353,7 @@ class ProcessPoolExecutor(Executor):
             methods = multiprocessing.get_all_start_methods()
             ctx = multiprocessing.get_context(
                 "fork" if "fork" in methods else "spawn")
-            pool = ctx.Pool(processes=self.workers,
-                            initializer=pin_single_blas_thread)
+            pool = ctx.Pool(processes=self.workers)
             self._pool = pool
             weakref.finalize(self, _terminate_pool, pool)
         return pool

@@ -10,13 +10,20 @@ per-job timeouts, process-wide warm table caches
 of the bit-identical checkpoint layer.
 
 BLAS policy: every job runs at one OpenBLAS thread
-(:func:`repro.runtime.blas.single_blas_thread` scopes
-:func:`run_scene`, and process-pool workers are pinned for life), so N
-workers use N cores rather than N times the BLAS threads. OpenBLAS
-results depend on its thread count, and executors agree bit for bit
-only at equal counts; pinning every job to one thread is what makes a
-serial, thread and process sweep, and a solo :func:`run_scene`,
-bit-identical. A scene stepped outside a sweep keeps the host's default.
+(:func:`repro.runtime.blas.single_blas_thread` scopes :func:`run_scene`
+and each job a pool worker runs), so N workers use N cores rather than
+N times the BLAS threads. OpenBLAS results depend on its thread count,
+and executors agree bit for bit only at equal counts; pinning every job
+to one thread is what makes a serial, thread and process sweep, and a
+solo :func:`run_scene`, bit-identical. A scene stepped outside a sweep
+keeps the host's default.
+
+The per-order table caches (:func:`repro.runtime.warm_caches`) are
+process-wide and keep the bits of whichever BLAS thread count built
+them first: :class:`SweepRunner` builds them at one thread, but a bare
+:class:`repro.core.Simulation` run earlier in the same process fills
+them at the host's default. For a sweep that must match a resumed run
+(a fresh process) bit for bit, run no other scene in its process first.
 
 Quick use::
 

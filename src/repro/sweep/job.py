@@ -238,13 +238,16 @@ class SceneTask(ProcessTask):
     first job touches them — idempotent and build-locked, so on a fork
     pool (parent already warm) it is a cache hit, and on a cold spawn
     worker it fronts the table cost once instead of inside every job.
+    Both run at one BLAS thread, so a cold worker builds the tables the
+    parent's :class:`~repro.sweep.SweepRunner` warm-up would have.
     """
 
     def __call__(self, job: SceneJob) -> SceneResult:
-        orders = job.scene_orders()
-        if orders:
-            warm_caches(orders)
-        return run_scene(job)
+        with single_blas_thread():
+            orders = job.scene_orders()
+            if orders:
+                warm_caches(orders)
+            return run_scene(job)
 
 
 def result_to_npz(res: SceneResult, path: str) -> str:

@@ -1,6 +1,7 @@
 """The BLAS thread policy (:mod:`repro.runtime.blas`): one OpenBLAS
-thread in process-pool workers and inside every sweep job, the host's
-default everywhere else, and bit-identity across executors under it."""
+thread inside every sweep job, the host's default everywhere else
+(process-pool workers included), and bit-identity across executors
+under it."""
 import sys
 import threading
 
@@ -10,11 +11,13 @@ import pytest
 from repro import presets
 from repro.config import NumericsOptions, ReproConfig
 from repro.core import Simulation
+from repro.fmm.treecode import _fit_operator
 from repro.physics.terms import Bending, Gravity, Tension
 from repro.runtime import blas
 from repro.runtime.executor import ProcessPoolExecutor, ProcessTask
 from repro.surfaces import biconcave_rbc
 from repro.sweep import SceneJob, SweepRunner, run_scene
+from repro.sweep.job import SceneTask
 import repro.sweep.job as job_module
 
 
@@ -54,14 +57,29 @@ class _BlasThreads(ProcessTask):
         return blas.thread_counts()
 
 
+def _job_blas_threads(job):
+    return blas.thread_counts()
+
+
+def _map_on_pool(task, items):
+    ex = ProcessPoolExecutor(workers=2)
+    try:
+        return ex.map(task, items)
+    finally:
+        ex.close()
+
+
 class TestPoolWorkers:
-    def test_every_worker_runs_one_blas_thread(self):
-        ex = ProcessPoolExecutor(workers=2)
-        try:
-            counts = ex.map(_BlasThreads(), range(8))
-        finally:
-            ex.close()
-        assert counts == [_ones()] * 8
+    def test_plain_worker_keeps_the_parent_count(self):
+        """The pool pins nothing: within-scene shards run at the count
+        the parent runs the serial reference at."""
+        assert _map_on_pool(_BlasThreads(), range(8)) == \
+            [blas.thread_counts()] * 8
+
+    def test_every_sweep_job_runs_one_blas_thread(self, monkeypatch):
+        # the fork pool inherits the patched module global
+        monkeypatch.setattr(job_module, "run_scene", _job_blas_threads)
+        assert _map_on_pool(SceneTask(), _jobs(8)) == [_ones()] * 8
 
 
 class TestScope:
@@ -207,17 +225,18 @@ def _scene(executor="serial", backend="direct"):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["direct", "fmm"])
+@pytest.mark.parametrize("backend", ["direct", "treecode", "fmm"])
 @pytest.mark.parametrize("executor", ["process", "checked-process"])
-def test_reference_scene_pinned_workers_match_serial(executor, backend):
-    """Shards run at one BLAS thread in the workers while the serial
-    reference runs at the host's default in the parent: the sharded
-    interaction sums are below the sizes where OpenBLAS's thread count
-    changes results, so the 6-cell order-8 scene stays bit-identical."""
-    serial = _scene(backend=backend)
+def test_reference_scene_process_workers_match_serial(executor, backend):
+    """Forked workers step their shards at the parent's BLAS thread
+    count, so the 6-cell order-8 scene stays bit-identical to serial.
+    The sharded scene runs first on cold treecode fits, so the workers
+    build their own rather than inheriting the serial run's."""
+    _fit_operator.cache_clear()
     sharded = _scene(executor=executor, backend=backend)
-    serial.run(3)
+    serial = _scene(backend=backend)
     sharded.run(3)
+    serial.run(3)
     dev = max(float(np.abs(a.X - b.X).max())
               for a, b in zip(serial.cells, sharded.cells))
     assert dev == 0.0
