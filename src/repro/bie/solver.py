@@ -14,11 +14,18 @@ from ..kernels import (
     stokes_dlp_matrix,
 )
 from ..linalg import gmres
-from ..patches import PatchSurface, surface_closest_point
+from ..patches import PatchSurface, surface_closest_points
 from ..quadrature import extrapolation_weights
-from ..quadrature.interpolation import chebyshev_lobatto_nodes, interp_matrix_2d
+from ..quadrature.interpolation import (
+    barycentric_matrix,
+    chebyshev_lobatto_nodes,
+    interp_matrix_2d,
+)
 
 KernelName = Literal["stokes", "laplace"]
+
+#: Target-to-coarse-node distances per block of the near screen.
+_SCREEN_BUDGET = 1 << 19
 
 
 @dataclasses.dataclass
@@ -272,39 +279,56 @@ class BoundarySolver:
         Targets within ``near_tol_factor * (R + p r)`` of the surface use
         the check-point extrapolation anchored at their closest point
         (near-singular integration, Sec. 3.1); the rest use the smooth
-        fine-grid quadrature directly.
+        fine-grid quadrature directly. Off-surface evaluation uses the
+        plain double layer: the rank completion only modifies the
+        operator *on* Gamma.
         """
         phi = np.asarray(phi, float).reshape(self.N, self.ncomp)
         targets = np.atleast_2d(np.asarray(targets, float))
         fine_phi = self._upsample(phi)
         weighted = fine_phi * self.fine.weights[:, None]
         out = self._dlp_to_points(weighted, targets)
-
-        # Distance screen against coarse nodes (cheap, conservative).
-        p = self.options.check_order
-        for t in range(targets.shape[0]):
-            x = targets[t]
-            d2 = np.einsum("nk,nk->n", self.coarse.points - x,
-                           self.coarse.points - x)
-            imin = int(np.argmin(d2))
-            L = self.surface.patch_sizes()[self.coarse.patch_of[imin]]
-            if np.sqrt(d2[imin]) > near_tol_factor * self.options.check_r_factor * L * (1 + p):
-                continue
-            out[t] = self._near_eval(weighted, x)
-        if self.rank_completion:
-            # The completed operator is only modified *on* Gamma; off-surface
-            # evaluation uses the plain double layer.
-            pass
+        near = np.flatnonzero(self._near_mask(targets, near_tol_factor))
+        if near.size:
+            out[near] = self._near_values(weighted, targets[near])
         return out if self.ncomp > 1 else out.ravel()
 
-    def _near_eval(self, weighted_fine: np.ndarray, x: np.ndarray) -> np.ndarray:
-        cp = surface_closest_point(self.surface, x)
-        R = self.options.check_r_factor * cp.patch_size
+    def _near_mask(self, targets: np.ndarray,
+                   near_tol_factor: float) -> np.ndarray:
+        """Distance screen against the coarse nodes (cheap, conservative):
+        a target is near when its nearest node lies within
+        ``near_tol_factor * (R + p r)`` of it, with R and r scaled by the
+        size of that node's patch."""
         p = self.options.check_order
+        pts = self.coarse.points
+        L = self.surface.patch_sizes()[self.coarse.patch_of]
+        reach = near_tol_factor * self.options.check_r_factor * L * (1 + p)
+        near = np.empty(targets.shape[0], dtype=bool)
+        chunk = max(1, _SCREEN_BUDGET // pts.shape[0])
+        for a in range(0, targets.shape[0], chunk):
+            diff = pts[None, :, :] - targets[a:a + chunk, None, :]
+            d2 = np.einsum("tnk,tnk->tn", diff, diff)
+            imin = np.argmin(d2, axis=1)
+            near[a:a + chunk] = (np.sqrt(d2[np.arange(imin.size), imin])
+                                 <= reach[imin])
+        return near
+
+    def _near_values(self, weighted_fine: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+        """Check-point extrapolation for near targets ``x`` (m, 3): the
+        p+1 check points of every target go through one smooth DLP
+        evaluation."""
+        cp = surface_closest_points(self.surface, x)
+        p = self.options.check_order
+        R = self.options.check_r_factor * cp.patch_size
+        steps = 1.0 + np.arange(p + 1)
         # Signed distance along the inward direction (fluid side).
-        t_par = float((cp.point - x) @ cp.normal)
-        checks = (cp.point[None, :]
-                  - (R * (1.0 + np.arange(p + 1)))[:, None] * cp.normal[None, :])
-        vals = self._dlp_to_points(weighted_fine, checks)
-        e = extrapolation_weights(R, R, p, t_par)
-        return e @ vals
+        t_par = np.einsum("nk,nk->n", cp.point - x, cp.normal)
+        checks = (cp.point[:, None, :]
+                  - (R[:, None] * steps)[:, :, None] * cp.normal[:, None, :])
+        vals = self._dlp_to_points(weighted_fine, checks.reshape(-1, 3))
+        vals = vals.reshape(x.shape[0], p + 1, self.ncomp)
+        # Check points sit at R (1 + i) and the target at t_par; the
+        # Lagrange weights are invariant under the common scale R.
+        E = barycentric_matrix(steps, t_par / R)
+        return np.einsum("nq,nqc->nc", E, vals)

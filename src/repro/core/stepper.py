@@ -393,13 +393,14 @@ class TimeStepper:
                 phi, rep = solver.solve(g.ravel())
                 bie_iters = rep.iterations
                 bie_converged = bool(getattr(rep, "converged", True))
-            # (c) u_Gamma at all cell points, one task per target cell.
-            with self.timers.scope("BIE-FMM"):
-                vals = self.executor.map(
-                    lambda i: solver.evaluate(phi, cells[i].points),
-                    range(ncell))
-                for i in range(ncell):
-                    b[i] += np.asarray(vals[i]).reshape(cells[i].X.shape)
+            # (c) u_Gamma at all cell points in one batched evaluation.
+            if ncell:
+                with self.timers.scope("BIE-FMM"):
+                    vals = solver.evaluate(
+                        phi, np.concatenate([c.points for c in cells]))
+                    cuts = np.cumsum([c.points.shape[0] for c in cells])
+                    for i, v in enumerate(np.split(vals, cuts[:-1])):
+                        b[i] += v.reshape(cells[i].X.shape)
 
         imposed = self.executor.map(
             lambda i: self._imposed_velocity(cells[i].points), range(ncell))

@@ -17,7 +17,13 @@ from .builders import (
     deformed_sphere,
     capsule_tube,
 )
-from .closest_point import closest_point_on_patch, ClosestPointResult, surface_closest_point
+from .closest_point import (
+    ClosestPointResult,
+    ClosestPoints,
+    closest_point_on_patch,
+    surface_closest_point,
+    surface_closest_points,
+)
 from .forest import QuadForest, PatchNode
 
 __all__ = [
@@ -30,7 +36,9 @@ __all__ = [
     "capsule_tube",
     "closest_point_on_patch",
     "surface_closest_point",
+    "surface_closest_points",
     "ClosestPointResult",
+    "ClosestPoints",
     "QuadForest",
     "PatchNode",
 ]

@@ -120,3 +120,64 @@ class TestStokesSolver:
         phi, rep = stokes_solver.solve(g.ravel())
         assert rep.converged
         assert np.abs(phi).max() < 1e-12
+
+
+def _interp_calls(monkeypatch, fn) -> int:
+    """Calls of ``interp_matrix_2d`` made by ``fn()``, through every
+    ``repro`` module that imported it."""
+    import sys
+    from repro.quadrature import interpolation
+    orig = interpolation.interp_matrix_2d
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(mod, "interp_matrix_2d", None) is orig):
+                mp.setattr(mod, "interp_matrix_2d", counting)
+        fn()
+    return len(calls)
+
+
+class TestBatchedEvaluate:
+    """Near-wall evaluation runs as one batched pipeline."""
+
+    @pytest.fixture(scope="class")
+    def solved(self, sphere_surface, opts):
+        solver = BoundarySolver(sphere_surface, kernel="stokes", options=opts)
+        x0 = np.array([2.5, 0.3, 0.1])
+        f0 = np.array([1.0, 2.0, -0.5])
+        g = stokes_slp_apply(x0[None, :], f0[None, :], solver.coarse.points)
+        phi, _ = solver.solve(g.ravel())
+        return solver, phi
+
+    @staticmethod
+    def _near_targets(m, seed):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=(m, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return d * rng.uniform(0.85, 0.97, m)[:, None]
+
+    def test_targets_are_near(self, solved):
+        solver, _ = solved
+        assert solver._near_mask(self._near_targets(200, 1), 1.5).all()
+
+    def test_interp_calls_do_not_grow_with_targets(self, solved, monkeypatch):
+        solver, phi = solved
+        counts = [_interp_calls(monkeypatch, lambda: solver.evaluate(
+            phi, self._near_targets(m, 2))) for m in (20, 200)]
+        assert counts[0] > 0
+        assert counts[1] <= 2 * counts[0]
+
+    def test_concatenated_targets_match_separate_calls(self, solved):
+        solver, phi = solved
+        a = self._near_targets(30, 3)
+        b = np.vstack([self._near_targets(20, 4), [[0.0, 0.0, 0.0],
+                                                  [0.2, -0.1, 0.3]]])
+        joint = solver.evaluate(phi, np.vstack([a, b]))
+        apart = np.vstack([solver.evaluate(phi, a), solver.evaluate(phi, b)])
+        assert np.abs(joint - apart).max() <= 1e-9 * np.abs(apart).max()

@@ -13,6 +13,7 @@ from repro.patches import (
     cube_sphere,
     deformed_sphere,
     surface_closest_point,
+    surface_closest_points,
     torus_surface,
 )
 
@@ -175,6 +176,106 @@ class TestClosestPoint:
         restricted = surface_closest_point(s, x,
                                            candidates=[full.patch_index])
         assert abs(full.distance - restricted.distance) < 1e-12
+
+
+class TestBatchedClosestPoints:
+    """``surface_closest_points`` against analytic distances, the
+    one-target wrapper and the edge-ownership rule."""
+
+    @staticmethod
+    def _sphere_targets(rng, m):
+        d = rng.normal(size=(m, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        rad = np.where(rng.random(m) < 0.5, rng.uniform(0.3, 0.95, m),
+                       rng.uniform(1.05, 2.0, m))
+        return d * rad[:, None]
+
+    def test_sphere_batch_analytic(self, small_opts, rng):
+        s = cube_sphere(refine=1, options=small_opts)
+        X = self._sphere_targets(rng, 240)
+        cp = surface_closest_points(s, X)
+        r = np.linalg.norm(X, axis=1)
+        assert len(cp) == 240
+        assert np.abs(cp.distance - np.abs(r - 1.0)).max() < 1e-4
+        assert np.abs(cp.point - X / r[:, None]).max() < 1e-2
+        assert np.allclose(np.linalg.norm(cp.normal, axis=1), 1.0)
+        assert np.allclose(cp.patch_size, s.patch_sizes()[cp.patch_index])
+
+    def test_torus_batch_analytic(self, small_opts, rng):
+        # Targets on the analytic normals through the coarse nodes, where
+        # the polynomial patches interpolate the torus exactly.
+        R, r = 2.0, 0.5
+        t = torus_surface(R=R, r=r, options=small_opts)
+        d = t.coarse()
+        idx = rng.choice(d.points.shape[0], 220, replace=False)
+        p = d.points[idx]
+        ring = p.copy()
+        ring[:, 2] = 0.0
+        ring *= (R / np.linalg.norm(ring, axis=1))[:, None]
+        nrm = (p - ring) / r
+        h = rng.uniform(-0.3, 0.6, idx.size)
+        cp = surface_closest_points(t, p + h[:, None] * nrm)
+        assert np.abs(cp.distance - np.abs(h)).max() < 1e-8
+
+    def test_batch_gradient_orthogonality(self, rng):
+        patch, _ = _poly_patch()
+        s = PatchSurface([patch])
+        uv = rng.uniform(-0.8, 0.8, size=(50, 2))
+        X = (patch.evaluate(uv)
+             + rng.uniform(-0.05, 0.05, (50, 1)) * patch.normals(uv))
+        cp = surface_closest_points(s, X)
+        interior = np.all(np.abs(cp.uv) < 1.0, axis=1)
+        assert interior.sum() >= 45
+        _, Xu, Xv = patch.derivatives(cp.uv[interior])
+        rvec = cp.point[interior] - X[interior]
+        assert np.abs(np.einsum("nk,nk->n", rvec, Xu)).max() < 1e-4
+        assert np.abs(np.einsum("nk,nk->n", rvec, Xv)).max() < 1e-4
+
+    def test_rows_match_single_target(self, small_opts, rng):
+        s = cube_sphere(refine=1, options=small_opts)
+        X = self._sphere_targets(rng, 40)
+        cp = surface_closest_points(s, X)
+        for i, x in enumerate(X):
+            one = surface_closest_point(s, x)
+            assert one.patch_index == cp.patch_index[i]
+            assert abs(one.distance - cp.distance[i]) < 1e-12
+            assert np.allclose(one.point, cp.point[i], atol=1e-9)
+            assert np.allclose(one.normal, cp.normal[i], atol=1e-9)
+            assert one.patch_size == cp.patch_size[i]
+
+    def test_patch_wrapper_matches_batch(self, rng):
+        patch, _ = _poly_patch()
+        X = patch.evaluate(rng.uniform(-0.9, 0.9, (10, 2))) + [0, 0, 0.03]
+        cp = surface_closest_points(PatchSurface([patch]), X)
+        for i, x in enumerate(X):
+            uv, p, d = closest_point_on_patch(patch, x)
+            assert abs(d - cp.distance[i]) < 1e-12
+            assert np.allclose(uv, cp.uv[i], atol=1e-8)
+
+    def test_edge_target_owner_is_deterministic(self, small_opts):
+        # On the bisector of two cube-sphere faces the closest point lies
+        # on their shared edge, and both patches report it at the same
+        # distance up to roundoff: the lower patch index owns the target.
+        s = cube_sphere(refine=0, options=small_opts)
+        x = 0.8 * np.array([1.0, 1.0, 0.3]) / np.linalg.norm([1.0, 1.0, 0.3])
+        cp = surface_closest_points(s, np.vstack([x, -x]))
+        one = surface_closest_point(s, x)
+        assert one.patch_index == cp.patch_index[0]
+        d = s.coarse()
+        pair = sorted({int(d.patch_of[i]) for i in np.argsort(
+            np.linalg.norm(d.points - x, axis=1))[:2]})
+        assert len(pair) == 2 and cp.patch_index[0] == pair[0]
+        dists = [surface_closest_point(s, x, candidates=[pid]).distance
+                 for pid in pair]
+        assert abs(dists[0] - dists[1]) < 1e-12
+        for cand in (pair, pair[::-1]):
+            assert surface_closest_point(
+                s, x, candidates=cand).patch_index == pair[0]
+
+    def test_empty_batch(self, small_opts):
+        s = cube_sphere(refine=0, options=small_opts)
+        cp = surface_closest_points(s, np.empty((0, 3)))
+        assert len(cp) == 0 and cp.point.shape == (0, 3)
 
 
 class TestForest:
