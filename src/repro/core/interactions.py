@@ -18,13 +18,21 @@ lives behind the :class:`InteractionBackend` protocol:
 
 All cache one :class:`~repro.vesicle.CellNearEvaluator` per cell across
 steps (rebuilding them every step was a measurable hot-path cost) and
-upsample each cell's force density to the fine grid once per step,
-reusing it for every target batch.
+transform each cell's force density once per step
+(:class:`~repro.vesicle.near_singular.SourceDensity`), reusing it for
+every target batch.
 
-The per-source sums are independent tasks, so every source loop maps
-over the backend's :attr:`~InteractionBackend.executor` (assigned by the
-time stepper, serial by default) and the per-target accumulations are
-folded afterwards in fixed source order — the threaded schedule is
+The per-source smooth sums, near scans and tree evaluations are
+independent tasks mapped over the backend's
+:attr:`~InteractionBackend.executor` (assigned by the time stepper,
+serial by default). The near-singular values of all sources then go
+through one batched call
+(:func:`~repro.vesicle.near_singular.near_values`) on the calling
+thread: the ``"thread"`` executor does not overlap near work across
+sources, because one call over every near target is several times
+cheaper than the per-source calls summed. The per-target accumulations
+are folded in fixed source order, and a near value does not depend on
+which other sources share its batch, so the threaded schedule is
 bit-identical to the serial one.
 
 Under the ``"process"`` executor the same fan-out runs across worker
@@ -32,7 +40,8 @@ Under the ``"process"`` executor the same fan-out runs across worker
 the source cells with the Morton partitioner (spatially compact shards
 keep each worker's near-zone candidates local), and maps
 :data:`repro.core.shardwork.RUN_SHARD` over payloads carrying only
-coefficients/positions/densities. Results regroup by global source index
+coefficients/positions/densities; each shard makes one batched near call
+over its own sources. Results regroup by global source index
 (:func:`_regroup`) so the fixed-order fold — and the trajectory — stays
 bit-identical to serial.
 """
@@ -43,11 +52,12 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Type
 import numpy as np
 
 from ..fmm import GlobalKIFMM, KernelIndependentTreecode
-from ..kernels import stokes_slp_apply
 from ..runtime.executor import Executor, SerialExecutor
 from ..runtime.partition import partition_by_morton
 from ..surfaces import SpectralSurface
 from ..vesicle import CellNearEvaluator
+from ..vesicle.near_singular import (SourceDensity, evaluate_sources,
+                                     near_corrections)
 from . import shardwork
 
 
@@ -88,7 +98,7 @@ class InteractionBackend:
         self.executor: Executor = SerialExecutor()
         self._bound = False
         self._prepared = False
-        self._fw: List[np.ndarray] = []
+        self._densities: List[Optional[SourceDensity]] = []
         self._forces: List[np.ndarray] = []
 
     def bind(self, cells: Sequence[SpectralSurface], viscosity: float,
@@ -123,7 +133,7 @@ class InteractionBackend:
         """
         self.evaluators[i].refresh()
         self._prepared = False
-        self._fw = []
+        self._densities = []
         self._forces = []
 
     def _require_prepared(self) -> None:
@@ -149,20 +159,24 @@ class InteractionBackend:
         if len(self._forces) != len(self.evaluators):
             raise ValueError(f"got {len(self._forces)} force densities for "
                              f"{len(self.evaluators)} bound cells")
-        self._fw = [None] * len(self._forces)
+        self._densities = [None] * len(self._forces)
         self._prepared = True
 
-    def _weighted(self, j: int) -> np.ndarray:
-        """Cell j's quadrature-weighted fine density, upsampled lazily
-        once per step (a single-cell free-space run never needs it).
-        C-contiguous for the same reason as :meth:`prepare`."""
-        if self._fw[j] is None:
-            self._fw[j] = np.ascontiguousarray(
-                self.evaluators[j].weighted_fine_density(self._forces[j]))
-        return self._fw[j]
+    def _source(self, j: int) -> SourceDensity:
+        """Cell j's force density transformed once per step (SH
+        coefficients and the weighted fine density), lazily: a
+        single-cell free-space run never needs it."""
+        if self._densities[j] is None:
+            self._densities[j] = self.evaluators[j].source_density(
+                self._forces[j])
+        return self._densities[j]
 
-    def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
-        """Cell j's single-layer velocity at arbitrary targets."""
+    def _sources(self) -> List[SourceDensity]:
+        return [self._source(j) for j in range(len(self.cells))]
+
+    def _velocities(self, targets: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Each source cell's single-layer velocity at its own targets
+        (``targets[j]`` for cell j)."""
         raise NotImplementedError
 
     def _source_shards(self) -> Optional[List[np.ndarray]]:
@@ -184,34 +198,27 @@ class InteractionBackend:
 
     def _payload(self, j: int) -> "shardwork.CellPayload":
         """Source cell j snapshotted for shipment to a worker process."""
-        return shardwork.payload_for(j, self.evaluators[j], self._forces[j],
-                                     self._weighted(j))
+        return shardwork.payload_for(j, self.evaluators[j], self._source(j))
 
     def cell_cell(self) -> List[np.ndarray]:
         """``b_i = sum_{j != i} S_j f_j`` at cell i's points, per cell.
 
         All other cells' points are stacked into one target batch per
-        source cell, so the near-singular pipeline and the far kernel run
-        once per source instead of once per (source, target-cell) pair.
-        The per-source batches are independent tasks mapped over the
-        executor; the accumulation folds in fixed source order.
+        source cell, so the far kernel runs once per source instead of
+        once per (source, target-cell) pair, and the near pairs of all
+        sources go through one batched call. The accumulation folds in
+        fixed source order.
         """
         self._require_prepared()
         cells = self.cells
         ncell = len(cells)
         b = [np.zeros((c.n_points, 3)) for c in cells]
-
-        def task(j: int) -> Optional[np.ndarray]:
-            others = [i for i in range(ncell) if i != j]
-            if not others:
-                return None
-            targets = np.concatenate([cells[i].points for i in others])
-            return self._source_velocity(j, targets)
-
-        vals_per_source = self.executor.map(task, range(ncell))
+        if ncell <= 1:
+            return b
+        vals_per_source = self._velocities(
+            [np.concatenate([cells[i].points for i in range(ncell) if i != j])
+             for j in range(ncell)])
         for j, vals in enumerate(vals_per_source):
-            if vals is None:
-                continue
             at = 0
             for i in range(ncell):
                 if i == j:
@@ -226,10 +233,7 @@ class InteractionBackend:
         self._require_prepared()
         targets = np.atleast_2d(np.asarray(targets, float))
         out = np.zeros((targets.shape[0], 3))
-        vals = self.executor.map(
-            lambda j: self._source_velocity(j, targets),
-            range(len(self.cells)))
-        for v in vals:
+        for v in self._velocities([targets] * len(self.cells)):
             out += v
         return out
 
@@ -262,9 +266,9 @@ class DirectBackend(InteractionBackend):
 
     name = "direct"
 
-    def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
-        return self.evaluators[j].evaluate(self._forces[j], targets,
-                                           fine_weighted=self._weighted(j))
+    def _velocities(self, targets: Sequence[np.ndarray]) -> List[np.ndarray]:
+        return evaluate_sources(self.evaluators, self._sources(), targets,
+                                self.executor.map)
 
     def cell_cell(self) -> List[np.ndarray]:
         """Shard-aware specialization of the all-pairs sum.
@@ -272,7 +276,7 @@ class DirectBackend(InteractionBackend):
         With a sharding executor the per-source evaluations ship to
         worker processes as :class:`repro.core.shardwork.DirectShard`
         batches; each worker excludes a source's own block from the
-        stacked cloud exactly like the inline task stacks "all other
+        stacked cloud exactly like the inline path stacks "all other
         cells", and the fold runs in ascending source order either way.
         """
         shards = self._source_shards()
@@ -393,7 +397,7 @@ class TreecodeBackend(NearZoneMixin, InteractionBackend):
         self._trees = self.executor.map(
             lambda j: KernelIndependentTreecode(
                 self.evaluators[j]._fine.points,
-                self._weighted(j).reshape(-1, 3), "stokes_slp",
+                self._source(j).fine_weighted.reshape(-1, 3), "stokes_slp",
                 self.viscosity, max_leaf=self.max_leaf,
                 equiv_points_per_edge=self.equiv_points_per_edge,
                 mac=self.mac, farfield_dtype=self.farfield_dtype),
@@ -409,23 +413,18 @@ class TreecodeBackend(NearZoneMixin, InteractionBackend):
             self._build_trees()
         return super().evaluate_at(targets)
 
-    def _masked_velocity(self, j: int, targets: np.ndarray,
-                         mask: np.ndarray) -> np.ndarray:
-        """Cell j's velocity at targets, near pairs (``mask``) through the
-        near-singular evaluator, the rest through the tree."""
-        out = np.empty((targets.shape[0], 3))
-        if mask.any():
-            out[mask] = self.evaluators[j].evaluate(
-                self._forces[j], targets[mask],
-                fine_weighted=self._weighted(j))
-        if (~mask).any():
-            out[~mask] = self._trees[j].evaluate(targets[~mask])
-        return out
+    def _masked_velocities(self, targets: Sequence[np.ndarray],
+                           masks: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Each cell's velocity at its targets, near pairs (``masks``)
+        through the near-singular evaluators, the rest through the trees."""
+        return shardwork.masked_velocities(
+            self.evaluators, self._sources(), self._trees, targets, masks,
+            self.executor.map)
 
-    def _source_velocity(self, j: int, targets: np.ndarray) -> np.ndarray:
-        """Cell j's single-layer velocity at targets: near-aware where
-        needed, treecode elsewhere."""
-        return self._masked_velocity(j, targets, self._near_mask(j, targets))
+    def _velocities(self, targets: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Near-aware where needed, treecode elsewhere."""
+        return self._masked_velocities(
+            targets, [self._near_mask(j, t) for j, t in enumerate(targets)])
 
     def cell_cell(self) -> List[np.ndarray]:
         """Near-pair-batched specialization of the all-pairs sum.
@@ -434,9 +433,9 @@ class TreecodeBackend(NearZoneMixin, InteractionBackend):
         source are computed in a single vectorized distance pass against
         the stacked cloud (one (n_points_total, ncell) sweep instead of
         one mask evaluation per source call); each source then runs one
-        near-evaluator batch and one treecode batch over its gathered
-        targets, exactly like :meth:`DirectBackend.cell_cell` stacks
-        target cells.
+        smooth batch and one treecode batch over its gathered targets,
+        exactly like :meth:`DirectBackend.cell_cell` stacks target cells,
+        and the near pairs of all sources go through one batched call.
         """
         self._require_prepared()
         cells = self.cells
@@ -469,12 +468,12 @@ class TreecodeBackend(NearZoneMixin, InteractionBackend):
             vals_per_source = _regroup(
                 ncell, shards, self.executor.map(shardwork.RUN_SHARD, tasks))
         else:
-            def task(j: int) -> np.ndarray:
-                keep = np.ones(allpts.shape[0], dtype=bool)
-                keep[offsets[j]:offsets[j + 1]] = False   # skip self targets
-                return self._masked_velocity(j, allpts[keep], near[keep, j])
-
-            vals_per_source = self.executor.map(task, range(ncell))
+            keeps = [shardwork.keep_mask(allpts.shape[0], (offsets[j],
+                                                           offsets[j + 1]))
+                     for j in range(ncell)]   # skip self targets
+            vals_per_source = self._masked_velocities(
+                [allpts[keep] for keep in keeps],
+                [near[keep, j] for j, keep in enumerate(keeps)])
         for j, vals in enumerate(vals_per_source):
             at = 0
             for i in range(ncell):
@@ -507,10 +506,11 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
       for a naive smooth-minus-smooth scheme does not occur because both
       sides carry identical singular near terms.
     - **Near pairs**: targets inside another cell's near zone (bounding
-      sphere prefilter, then the evaluator's exact near scan) get
-      :meth:`~repro.vesicle.CellNearEvaluator.near_correction` added —
-      near-scheme value minus the same exact smooth sum the FMM's P2P
-      route already delivered.
+      sphere prefilter, then the evaluator's exact near scan) get the
+      near-scheme delta of
+      :func:`~repro.vesicle.near_singular.near_corrections` added (one
+      batched call for all sources) — near-scheme value minus the same
+      exact smooth sum the FMM's P2P route already delivered.
 
     ``equiv_points_per_edge`` is the accuracy knob (defaults match the
     treecode: rel error ~1e-4 vs Direct at 5, ~1e-6 at 8); ``max_leaf``
@@ -553,10 +553,10 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
         # Upsample every cell once (independent tasks), then build the
         # one global tree; its per-box stages fan out over the same
         # executor internally.
-        fws = self.executor.map(self._weighted, range(len(self.cells)))
+        dens = self.executor.map(self._source, range(len(self.cells)))
         src = np.concatenate(
             [ev._fine.points for ev in self.evaluators])
-        den = np.concatenate([fw.reshape(-1, 3) for fw in fws])
+        den = np.concatenate([d.fine_weighted.reshape(-1, 3) for d in dens])
         self._fmm = GlobalKIFMM(
             src, den, "stokes_slp", self.viscosity,
             max_leaf=self.max_leaf,
@@ -564,28 +564,10 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
             mac=self.mac, farfield_dtype=self.farfield_dtype,
             executor=self.executor)
 
-    def _self_smooth(self, j: int, targets: np.ndarray) -> np.ndarray:
-        """Exact float64 smooth sum of cell j's own fine sources."""
-        return stokes_slp_apply(self.evaluators[j]._fine.points,
-                                self._weighted(j).reshape(-1, 3),
-                                targets, self.viscosity)
-
-    def _near_deltas(self, j: int, targets: np.ndarray,
-                     candidates: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Near-scheme corrections of source j at the candidate targets,
-        as (global target indices, velocity deltas)."""
-        if candidates.size == 0:
-            return candidates, np.zeros((0, 3))
-        idx, delta = self.evaluators[j].near_correction(
-            self._forces[j], targets[candidates],
-            fine_weighted=self._weighted(j))
-        return candidates[idx], delta
-
     def cell_cell(self) -> List[np.ndarray]:
         """Global-tree specialization: one FMM evaluation at the stacked
         points, then per-source self subtraction and near corrections
-        (independent tasks, folded in fixed source order)."""
+        (one batched near call, folded in fixed source order)."""
         self._require_prepared()
         cells = self.cells
         ncell = len(cells)
@@ -599,38 +581,30 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
                            axis=2)
         near = d < self._near_cutoffs()[None, :]
 
+        own_points, cand_idx = [], []
+        for j in range(ncell):
+            own = slice(offsets[j], offsets[j + 1])
+            cand = near[:, j].copy()
+            cand[own] = False      # self handled by the subtraction
+            own_points.append(allpts[own])
+            cand_idx.append(np.nonzero(cand)[0])
         shards = self._source_shards()
         if shards is not None:
             # The global tree evaluation above stays in the parent; the
             # per-source corrections ship out with parent-selected
             # candidate targets (other cells' near-zone points).
-            tasks = []
-            for shard in shards:
-                sources, own_points, cand_idx, cand_points = [], [], [], []
-                for j in shard:
-                    own = slice(offsets[j], offsets[j + 1])
-                    cand = near[:, j].copy()
-                    cand[own] = False   # self handled by the subtraction
-                    cidx = np.nonzero(cand)[0]
-                    sources.append(self._payload(j))
-                    own_points.append(allpts[own])
-                    cand_idx.append(cidx)
-                    cand_points.append(allpts[cidx])
-                tasks.append(shardwork.FMMShard(
-                    sources=sources, own_points=own_points,
-                    cand_idx=cand_idx, cand_points=cand_points))
+            tasks = [shardwork.FMMShard(
+                         sources=[self._payload(j) for j in shard],
+                         own_points=[own_points[j] for j in shard],
+                         cand_idx=[cand_idx[j] for j in shard],
+                         cand_points=[allpts[cand_idx[j]] for j in shard])
+                     for shard in shards]
             corrections = _regroup(
                 ncell, shards, self.executor.map(shardwork.RUN_SHARD, tasks))
         else:
-            def task(j: int) -> tuple:
-                own = slice(offsets[j], offsets[j + 1])
-                cand = near[:, j].copy()
-                cand[own] = False      # self handled by the subtraction
-                gidx, delta = self._near_deltas(j, allpts,
-                                                np.nonzero(cand)[0])
-                return self._self_smooth(j, allpts[own]), gidx, delta
-
-            corrections = self.executor.map(task, range(ncell))
+            corrections = shardwork.fmm_corrections(
+                self.evaluators, self._sources(), own_points, cand_idx,
+                [allpts[c] for c in cand_idx], self.executor.map)
         for j, (self_u, gidx, delta) in enumerate(corrections):
             u[offsets[j]:offsets[j + 1]] -= self_u
             u[gidx] += delta
@@ -642,12 +616,11 @@ class FMMBackend(NearZoneMixin, InteractionBackend):
         self._require_prepared()
         targets = np.atleast_2d(np.asarray(targets, float))
         u = self._fmm.evaluate(targets)
-
-        def task(j: int) -> tuple:
-            cand = np.nonzero(self._near_mask(j, targets))[0]
-            return self._near_deltas(j, targets, cand)
-
-        for gidx, delta in self.executor.map(task,
-                                             range(len(self.cells))):
-            u[gidx] += delta
+        cands = [np.nonzero(self._near_mask(j, targets))[0]
+                 for j in range(len(self.cells))]
+        deltas = near_corrections(self.evaluators, self._sources(),
+                                  [targets[c] for c in cands],
+                                  self.executor.map)
+        for cand, (idx, delta) in zip(cands, deltas):
+            u[cand[idx]] += delta
         return u

@@ -22,23 +22,28 @@ payloads defined here. The serialization story is deliberately minimal:
   ascending source order, exactly like the serial loop — so process ==
   thread == serial bit-identical.
 
-Every shard type mirrors one backend's inline per-source task
-verbatim — same target stacking, same masks, same kernel calls — which
-is what makes the ``"checked"`` executor's inline rerun of a shard a
-meaningful cross-process bit-identity check.
+Every shard type runs the same function as its backend's inline path
+(:func:`~repro.vesicle.near_singular.evaluate_sources`,
+:func:`masked_velocities`, :func:`fmm_corrections`) over the shard's own
+sources — same target stacking, same masks, same kernel calls, and one
+batched near call per shard instead of one per step. A near value does
+not depend on which other sources share its batch, which is what makes
+process == serial hold bit for bit, and the ``"checked"`` executor's inline
+rerun of a shard a meaningful cross-process bit-identity check.
 """
 from __future__ import annotations
 
 import dataclasses
-from typing import ClassVar, List, Tuple
+from typing import Callable, ClassVar, List, Sequence, Tuple
 
 import numpy as np
 
 from ..fmm import KernelIndependentTreecode
-from ..kernels import stokes_slp_apply
 from ..runtime.executor import ProcessTask, worker_timers
 from ..surfaces import SpectralSurface
 from ..vesicle import CellNearEvaluator
+from ..vesicle.near_singular import (SourceDensity, _serial_map,
+                                     evaluate_sources, near_corrections)
 
 _FLOAT_BYTES = 8
 
@@ -47,33 +52,31 @@ _FLOAT_BYTES = 8
 class CellPayload:
     """Everything a worker needs to rebuild one source cell.
 
-    Grid positions, the parent's SH coefficients, the coarse force
-    density, and the quadrature-weighted fine density — a few arrays per
-    cell. The coefficients are seeded (not recomputed) in the worker;
-    the weighted fine density is shipped precomputed because the parent
-    needed it anyway and recomputing it is the single most expensive
-    per-cell prepare step.
+    Grid positions, the parent's SH coefficients and the step's
+    transformed force density — a few arrays per cell. The coefficients
+    are seeded (not recomputed) in the worker; the density (its SH
+    coefficients and quadrature-weighted fine density) is shipped as the
+    parent computed it, because the parent needed it anyway, recomputing
+    it is the single most expensive per-cell prepare step, and a shipped
+    array is bitwise the parent's.
     """
 
     index: int                  # global source-cell index
     X: np.ndarray               # (nlat, nphi, 3) grid positions
     coeffs: np.ndarray          # (3, p+1, 2p+1) parent-side SH coeffs
-    force: np.ndarray           # coarse force density
-    fine_weighted: np.ndarray   # quadrature-weighted fine density
+    source: SourceDensity       # the step's transformed force density
     viscosity: float
     farfield_dtype: str
     aliasing_factor: int
 
 
 def payload_for(index: int, evaluator: CellNearEvaluator,
-                force: np.ndarray,
-                fine_weighted: np.ndarray) -> CellPayload:
+                source: SourceDensity) -> CellPayload:
     """Snapshot one bound cell into a shippable :class:`CellPayload`."""
     surface = evaluator.surface
     return CellPayload(index=int(index), X=surface.X,
                        coeffs=np.asarray(surface.coeffs()),
-                       force=np.asarray(force),
-                       fine_weighted=np.asarray(fine_weighted),
+                       source=source,
                        viscosity=evaluator.viscosity,
                        farfield_dtype=evaluator.farfield_dtype,
                        aliasing_factor=surface.aliasing_factor)
@@ -96,10 +99,56 @@ def rebuild_evaluator(payload: CellPayload) -> CellNearEvaluator:
                              farfield_dtype=payload.farfield_dtype)
 
 
-def _keep_mask(n_total: int, own: Tuple[int, int]) -> np.ndarray:
+def keep_mask(n_total: int, own: Tuple[int, int]) -> np.ndarray:
+    """All of a stacked target cloud but one source's own block."""
     keep = np.ones(n_total, dtype=bool)
     keep[own[0]:own[1]] = False
     return keep
+
+
+def masked_velocities(evaluators: Sequence[CellNearEvaluator],
+                      sources: Sequence[SourceDensity],
+                      trees: Sequence[KernelIndependentTreecode],
+                      targets: Sequence[np.ndarray],
+                      masks: Sequence[np.ndarray],
+                      mapper: Callable = _serial_map) -> List[np.ndarray]:
+    """:class:`TreecodeBackend`'s per-source velocities: the masked
+    (possibly near) targets of every source through the near-aware
+    evaluators in one batched call, the rest through each source's tree
+    (per-source tasks through ``mapper``)."""
+    near = evaluate_sources(evaluators, sources,
+                            [t[m] for t, m in zip(targets, masks)], mapper)
+
+    def tree(k: int) -> np.ndarray:
+        rest = ~masks[k]
+        return (trees[k].evaluate(targets[k][rest]) if rest.any()
+                else np.zeros((0, 3)))
+
+    out = []
+    for t, m, nv, tv in zip(targets, masks, near,
+                            mapper(tree, range(len(trees)))):
+        vals = np.empty((t.shape[0], 3))
+        vals[m] = nv
+        vals[~m] = tv
+        out.append(vals)
+    return out
+
+
+def fmm_corrections(evaluators: Sequence[CellNearEvaluator],
+                    sources: Sequence[SourceDensity],
+                    own_points: Sequence[np.ndarray],
+                    cand_idx: Sequence[np.ndarray],
+                    cand_points: Sequence[np.ndarray],
+                    mapper: Callable = _serial_map) -> List[tuple]:
+    """:class:`FMMBackend`'s per-source corrections ``(self_u, global
+    indices, deltas)``: the exact float64 self sum at the source's own
+    points (per-source tasks through ``mapper``) and the near-scheme
+    deltas at its candidate targets (one batched call)."""
+    self_u = mapper(lambda k: evaluators[k]._smooth(sources[k], own_points[k]),
+                    range(len(evaluators)))
+    deltas = near_corrections(evaluators, sources, cand_points, mapper)
+    return [(su, cidx[idx], delta)
+            for su, cidx, (idx, delta) in zip(self_u, cand_idx, deltas)]
 
 
 @dataclasses.dataclass
@@ -125,14 +174,11 @@ class DirectShard:
         return (self.allpts.shape[0] - owned) * 3 * _FLOAT_BYTES
 
     def run(self) -> List[np.ndarray]:
-        out = []
-        for payload, own in zip(self.sources, self.own):
-            evaluator = rebuild_evaluator(payload)
-            keep = _keep_mask(self.allpts.shape[0], own)
-            out.append(evaluator.evaluate(
-                payload.force, self.allpts[keep],
-                fine_weighted=payload.fine_weighted))
-        return out
+        return evaluate_sources(
+            [rebuild_evaluator(payload) for payload in self.sources],
+            [payload.source for payload in self.sources],
+            [self.allpts[keep_mask(self.allpts.shape[0], own)]
+             for own in self.own])
 
 
 @dataclasses.dataclass
@@ -161,27 +207,20 @@ class TreecodeShard:
         return (self.allpts.shape[0] - owned) * 3 * _FLOAT_BYTES
 
     def run(self) -> List[np.ndarray]:
-        out = []
-        for payload, own, near_col in zip(self.sources, self.own, self.near):
-            evaluator = rebuild_evaluator(payload)
-            tree = KernelIndependentTreecode(
-                evaluator._fine.points,
-                payload.fine_weighted.reshape(-1, 3), "stokes_slp",
-                payload.viscosity, max_leaf=self.max_leaf,
-                equiv_points_per_edge=self.equiv_points_per_edge,
-                mac=self.mac, farfield_dtype=payload.farfield_dtype)
-            keep = _keep_mask(self.allpts.shape[0], own)
-            targets = self.allpts[keep]
-            mask = near_col[keep]
-            vals = np.empty((targets.shape[0], 3))
-            if mask.any():
-                vals[mask] = evaluator.evaluate(
-                    payload.force, targets[mask],
-                    fine_weighted=payload.fine_weighted)
-            if (~mask).any():
-                vals[~mask] = tree.evaluate(targets[~mask])
-            out.append(vals)
-        return out
+        evaluators = [rebuild_evaluator(payload) for payload in self.sources]
+        trees = [KernelIndependentTreecode(
+                     ev._fine.points,
+                     payload.source.fine_weighted.reshape(-1, 3),
+                     "stokes_slp", payload.viscosity,
+                     max_leaf=self.max_leaf,
+                     equiv_points_per_edge=self.equiv_points_per_edge,
+                     mac=self.mac, farfield_dtype=payload.farfield_dtype)
+                 for ev, payload in zip(evaluators, self.sources)]
+        keeps = [keep_mask(self.allpts.shape[0], own) for own in self.own]
+        return masked_velocities(
+            evaluators, [payload.source for payload in self.sources], trees,
+            [self.allpts[keep] for keep in keeps],
+            [near_col[keep] for near_col, keep in zip(self.near, keeps)])
 
 
 @dataclasses.dataclass
@@ -209,20 +248,10 @@ class FMMShard:
         return sum(pts.shape[0] for pts in self.cand_points) * 3 * _FLOAT_BYTES
 
     def run(self) -> List[tuple]:
-        out = []
-        for payload, own, cidx, cpts in zip(self.sources, self.own_points,
-                                            self.cand_idx, self.cand_points):
-            evaluator = rebuild_evaluator(payload)
-            self_u = stokes_slp_apply(evaluator._fine.points,
-                                      payload.fine_weighted.reshape(-1, 3),
-                                      own, payload.viscosity)
-            if cidx.size == 0:
-                out.append((self_u, cidx, np.zeros((0, 3))))
-                continue
-            idx, delta = evaluator.near_correction(
-                payload.force, cpts, fine_weighted=payload.fine_weighted)
-            out.append((self_u, cidx[idx], delta))
-        return out
+        return fmm_corrections(
+            [rebuild_evaluator(payload) for payload in self.sources],
+            [payload.source for payload in self.sources],
+            self.own_points, self.cand_idx, self.cand_points)
 
 
 class _RunShard(ProcessTask):

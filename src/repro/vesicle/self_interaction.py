@@ -65,8 +65,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ..analysis.guard import (HEAVY_TABLE_CACHE_SIZE, freeze,
-                              freeze_attributes, locked_cache)
+from ..analysis.guard import (HEAVY_TABLE_CACHE_SIZE, PER_ORDER_CACHE_SIZE,
+                              freeze, freeze_attributes, locked_cache)
 from ..quadrature import gauss_legendre
 from ..sph.alp import normalized_alp_theta_derivative
 from ..sph.grid import get_grid
@@ -78,14 +78,13 @@ _log = logging.getLogger(__name__)
 _POLE_GUARD = 1e-7
 
 
+@locked_cache(maxsize=PER_ORDER_CACHE_SIZE)
 def _coeff_index(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (l, m) indexing of the dense (p+1, 2p+1) coefficient array."""
-    ls, ms = [], []
-    for l in range(p + 1):
-        for m in range(-l, l + 1):
-            ls.append(l)
-            ms.append(m)
-    return np.array(ls), np.array(ms)
+    """Flattened (l, m) indexing of the dense (p+1, 2p+1) coefficient
+    array (read-only, shared per order)."""
+    ls = np.repeat(np.arange(p + 1), 2 * np.arange(p + 1) + 1)
+    ms = np.arange(ls.size) - ls * ls - ls
+    return freeze(ls, ms)
 
 
 def pack_coeffs(c: np.ndarray) -> np.ndarray:

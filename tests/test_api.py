@@ -289,9 +289,10 @@ class TestInteractionBackends:
         cells, forces = three_cell_scene
         be = DirectBackend().bind(cells, 1.0)
         be.prepare(forces)
+        from repro.vesicle.near_singular import evaluate_sources
         fresh = be.evaluators[0].evaluate(forces[0], cells[1].points)
-        cached = be.evaluators[0].evaluate(forces[0], cells[1].points,
-                                           fine_weighted=be._weighted(0))
+        cached = evaluate_sources(be.evaluators[:1], [be._source(0)],
+                                  [cells[1].points])[0]
         assert np.allclose(fresh, cached, rtol=0, atol=1e-14)
 
     def test_make_backend_registry(self):

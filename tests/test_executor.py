@@ -484,6 +484,47 @@ class TestProcessExecutor:
         checked.run(3)
         assert _max_dev(serial, checked) == 0.0
 
+    @pytest.fixture(scope="class")
+    def near_path_serial(self):
+        """Serial 2-step runs of the 6-cell row at order 6, per backend,
+        with the number of near targets they evaluated. At order 8 the
+        near distance (0.36) stays below the row's 0.4 gap and no target
+        is near; at order 6 the near path runs."""
+        import repro.vesicle.near_singular as ns
+        runs = {}
+
+        def run(backend):
+            if backend not in runs:
+                near_values, seen = ns.near_values, []
+
+                def counted(evaluators, sources, targets, seeds):
+                    seen.append(sum(t.shape[0] for t in targets))
+                    return near_values(evaluators, sources, targets, seeds)
+                ns.near_values = counted
+                try:
+                    serial = _scene(ncells=6, order=6, backend=backend)
+                    serial.run(2)
+                finally:
+                    ns.near_values = near_values
+                runs[backend] = (serial, sum(seen))
+            return runs[backend]
+        return run
+
+    @pytest.mark.parametrize("executor",
+                             ["process", "checked-process", "thread"])
+    @pytest.mark.parametrize("backend", ["direct", "fmm"])
+    def test_near_path_bit_identical(self, near_path_serial, backend,
+                                     executor):
+        """Near-singular pairs batched per Morton shard (process), per
+        step (serial) or under a thread pool give the same trajectory
+        bit for bit."""
+        serial, n_near = near_path_serial(backend)
+        assert n_near > 0
+        other = _scene(ncells=6, order=6, backend=backend,
+                       executor=executor, workers=2)
+        other.run(2)
+        assert _max_dev(serial, other) == 0.0
+
     def test_checkpoint_resume_bit_identical(self, tmp_path):
         """save/load_checkpoint round-trips while the process executor is
         active: the resumed run (fresh pool) matches the original bitwise."""

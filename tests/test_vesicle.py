@@ -139,7 +139,7 @@ class TestBatchedNearPipeline:
         vals = np.empty((ts.size, 3))
         vals[0] = ev.on_surface_velocity(th, ph, den)
         checks = y[None, :] + ts[1:, None] * n[None, :]
-        fw = ev.weighted_fine_density(den)
+        fw = ev.source_density(den).fine_weighted
         vals[1:] = stokes_slp_apply(ev._fine.points, fw.reshape(-1, 3),
                                     checks, ev.viscosity)
         M = barycentric_matrix(ts, np.array([sgn * d]),
@@ -200,3 +200,134 @@ class TestCellNearEvaluator:
         a, s, c, den, ev, _ = setup
         v = ev.evaluate(den, np.array([[0.0, 0.0, 0.0]]))
         assert np.abs(v[0] - 2 * a / 3 * c).max() < 1e-10
+
+
+class TestCrossSourceBatch:
+    """One near pipeline over the (source, target) pairs of many sources."""
+
+    @pytest.fixture(scope="class")
+    def scene(self):
+        from repro.core.interactions import FMMBackend
+        from repro.surfaces import biconcave_rbc
+        rng = np.random.default_rng(3)
+        cells = [biconcave_rbc(1.0, center=(2.25 * (i % 4), 2.25 * (i // 4),
+                                            0.12 * (-1) ** i), order=6)
+                 for i in range(8)]
+        forces = [rng.normal(size=(c.grid.nlat, c.grid.nphi, 3))
+                  for c in cells]
+        be = FMMBackend().bind(cells, 1.0)
+        be.prepare(forces)
+        xs, seeds = [], []
+        for j, ev in enumerate(be.evaluators):
+            t = np.concatenate([c.points for i, c in enumerate(cells)
+                                if i != j])
+            idx, s = ev._near_scan(t)
+            # Odd sources keep one near target: a one-row call must give
+            # the same bits as the same row inside a larger batch.
+            keep = slice(None) if j % 2 == 0 else slice(0, 1)
+            xs.append(t[idx][keep])
+            seeds.append(s[keep])
+        return cells, forces, be, xs, seeds
+
+    def test_batch_invariance(self, scene):
+        """A pair's near value does not depend on which other sources
+        share its call: all sources at once == each source alone == a
+        2-way split, bit for bit (the process executor batches per
+        Morton shard, the serial path per step)."""
+        from repro.vesicle.near_singular import near_values
+        _, _, be, xs, seeds = scene
+        evs, srcs = be.evaluators, be._sources()
+        assert all(x.shape[0] > 0 for x in xs)
+        together = near_values(evs, srcs, xs, seeds)
+        for k in range(len(evs)):
+            alone = near_values([evs[k]], [srcs[k]], [xs[k]], [seeds[k]])[0]
+            assert np.array_equal(together[k], alone)
+        h = 3
+        split = (near_values(evs[:h], srcs[:h], xs[:h], seeds[:h])
+                 + near_values(evs[h:], srcs[h:], xs[h:], seeds[h:]))
+        for a, b in zip(together, split):
+            assert np.array_equal(a, b)
+
+    def test_alp_evaluations_follow_targets_not_sources(self, scene,
+                                                        monkeypatch):
+        """Cost guard: the ALP tables of one ``FMMBackend.cell_cell``
+        are built per batched pass, so 8 sources with near pairs cost at
+        most twice the evaluations of 2."""
+        import repro.vesicle.near_singular as ns
+        from repro.core.interactions import FMMBackend
+        cells, forces, *_ = scene
+        calls = []
+        for name in ("normalized_alp", "normalized_alp_theta_derivative",
+                     "normalized_alp_theta_derivative2"):
+            fn = getattr(ns, name)
+
+            def counted(*a, _fn=fn, **kw):
+                calls.append(1)
+                return _fn(*a, **kw)
+            monkeypatch.setattr(ns, name, counted)
+
+        def alp_count(n):
+            be = FMMBackend().bind(cells[:n], 1.0)
+            be.prepare(forces[:n])
+            del calls[:]
+            be.cell_cell()
+            return len(calls)
+        few, many = alp_count(2), alp_count(8)
+        assert 0 < few and many <= 2 * few
+
+    def test_closest_points_on_analytic_surfaces(self):
+        """Batched closest points of two sphere sources against the
+        analytic answer at the one-target tolerances; each row equals
+        the one-target search on its own source."""
+        from repro.vesicle.near_singular import _closest_points
+        rng = np.random.default_rng(11)
+        radii, centers = (1.3, 0.8), (np.zeros(3), np.array([3.0, 0.5, 0.0]))
+        evs = [CellNearEvaluator(sphere(a, center=tuple(c), order=8))
+               for a, c in zip(radii, centers)]
+        owner = np.repeat([0, 1], [25, 15])
+        dirs = rng.normal(size=(owner.size, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        gap = rng.uniform(0.05, 0.6, owner.size)
+        a = np.array(radii)[owner]
+        ctr = np.array(centers)[owner]
+        x = ctr + (a + gap)[:, None] * dirs
+        seeds = np.concatenate([evs[k]._nearest_fine_nodes(x[owner == k])[0]
+                                for k in (0, 1)])
+        th, ph, y, nrm, d = _closest_points(
+            8, np.stack([ev._cX for ev in evs])[owner], x,
+            *evs[0]._seed_params(seeds))
+        assert np.abs(d - gap).max() < 1e-8
+        assert np.abs(y - (ctr + a[:, None] * dirs)).max() < 1e-7
+        assert np.abs(nrm - dirs).max() < 1e-6
+        for i in range(owner.size):
+            th1, ph1, y1, d1 = evs[owner[i]].closest_point(x[i])
+            assert abs(d[i] - d1) <= 1e-12
+            assert np.abs(y[i] - y1).max() <= 1e-12
+
+    def test_real_synthesis_matches_complex_series(self):
+        """The real synthesis equals the real part of the complex SH
+        series and its parametric derivatives, for coefficients without
+        conjugate symmetry too."""
+        from repro.sph.alp import normalized_alp_theta_derivative2
+        from repro.vesicle.near_singular import _synthesize, real_coeffs
+        from repro.vesicle.self_interaction import _coeff_index
+        p, n = 7, 40
+        rng = np.random.default_rng(5)
+        packed = (rng.normal(size=((p + 1) ** 2, 3))
+                  + 1j * rng.normal(size=((p + 1) ** 2, 3)))
+        th = rng.uniform(0.05, np.pi - 0.05, n)
+        ph = rng.uniform(0.0, 2 * np.pi, n)
+        ls, ms = _coeff_index(p)
+        P, dP, d2P = normalized_alp_theta_derivative2(p, np.cos(th))
+        sign = np.where(ms < 0, (-1.0) ** np.abs(ms), 1.0)
+        phase = np.exp(1j * ms[None, :] * ph[:, None]) * sign
+        im = 1j * ms
+        rows = [T[ls, np.abs(ms)].T * phase for T in (P, dP, d2P)]
+        expect = [rows[0], rows[1], rows[0] * im, rows[2], rows[1] * im,
+                  rows[0] * im * im]
+        got = _synthesize(p, np.broadcast_to(real_coeffs(packed),
+                                             (n,) + packed.shape),
+                          th, ph, nderiv=2)
+        for e, g in zip(expect, got):
+            ref = (e @ packed).real
+            assert np.abs(g - ref).max() <= 1e-12 * np.abs(ref).max()
